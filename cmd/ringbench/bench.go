@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +14,8 @@ import (
 	"ringsched/internal/bigring"
 	"ringsched/internal/bucket"
 	"ringsched/internal/instance"
+	"ringsched/internal/lb"
+	"ringsched/internal/online"
 	"ringsched/internal/opt"
 	"ringsched/internal/sim"
 	"ringsched/internal/workload"
@@ -184,6 +187,40 @@ func microSuite() []benchmark {
 		})
 	}}
 
+	// lb_best: the Lemma 1 certificate every schedule answer carries, on
+	// a point-plus-random 4096-ring (a size the serving tier still routes
+	// to the pool engine).
+	lbBest := benchmark{name: "lb_best/m4096", run: func(minTime time.Duration) BenchResult {
+		in := workload.PointPlusRandom(4096, 100_000, 7)
+		return measure("lb_best/m4096", minTime, func(int) { lb.Best(in) })
+	}}
+
+	// online_lower_bound: the release-aware bound a streaming session
+	// recomputes after every append, at the end of a 40-wave session on
+	// a 256-ring (8 batches a wave, releases overlapping the next wave
+	// as appends allow). The engine is stepped outside the timer.
+	onlineLB := benchmark{name: "online_lower_bound/w40", run: func(minTime time.Duration) BenchResult {
+		const m, waves, perWave = 256, 40, 8
+		e, err := online.NewEngine(m, online.Params{})
+		if err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for w := int64(0); w < waves; w++ {
+			batch := make([]online.Batch, perWave)
+			for i := range batch {
+				batch[i] = online.Batch{Time: 4*w + rng.Int63n(8), Proc: rng.Intn(m), Count: rng.Int63n(200)}
+			}
+			if err := e.Append(batch...); err != nil {
+				panic(err)
+			}
+			if err := e.StepUntil(nil, 4*w+4); err != nil {
+				panic(err)
+			}
+		}
+		return measure("online_lower_bound/w40", minTime, func(int) { e.LowerBound() })
+	}}
+
 	// bigring_step: the big-ring engine's unit cost at production scale.
 	// One op is one Step call on a dense seeded ring (Reset, which
 	// allocates nothing, rewinds a completed run), so NsPerOp is
@@ -246,7 +283,7 @@ func microSuite() []benchmark {
 	}
 
 	benches := []benchmark{
-		engine("C1"), engine("A2"), canonical, solver,
+		engine("C1"), engine("A2"), canonical, solver, lbBest, onlineLB,
 		bigStep("C1", 100_000, "m1e5"), bigStep("C1", 1_000_000, "m1e6"),
 		bigStep("A2", 100_000, "m1e5"), bigStep("A2", 1_000_000, "m1e6"),
 	}

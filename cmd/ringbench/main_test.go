@@ -210,7 +210,7 @@ func TestRunRecordsPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Seq != 1 || !f.Short || len(f.Results) != 22 {
+	if f.Seq != 1 || !f.Short || len(f.Results) != 24 {
 		t.Fatalf("recorded point = seq %d short %v results %d", f.Seq, f.Short, len(f.Results))
 	}
 	for _, r := range f.Results {

@@ -14,10 +14,13 @@ import (
 func TestRunSuiteTelemetry(t *testing.T) {
 	cases := smallSuite(t)[:2]
 	var snaps []Progress
+	// One worker: OnProgress fires in completion order, and the
+	// snapshot checks below expect input order.
 	rep, err := RunSuite(cases, Options{
 		Algorithms: []string{"A2", "C1"},
 		Metrics:    true,
 		OnProgress: func(p Progress) { snaps = append(snaps, p) },
+		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

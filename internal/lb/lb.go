@@ -11,6 +11,15 @@
 // arbitrary job sizes (§4.2), and the capacitated window bound of Lemma 10
 // (no k consecutive processors may start with more than (k+2)L jobs when
 // links carry one job per step).
+//
+// Both window bounds are maximized over all m^2 windows without visiting
+// them: a bound exceeds L iff some window has S - kL > T(L), T(L) = L^2-L
+// (Lemma 1) or 2L (Lemma 10). With prefix sums P (run past m for wrapping
+// windows, P(m+t) = P(m) + P(t)) and q(t) = P(t) - tL, the window of k
+// starting at i has S - kL = q(i+k) - q(i), so a running prefix minimum
+// and a running suffix minimum decide it exactly in O(m). The test is
+// monotone in L, so bisecting a bracket certified by explicit windows
+// returns the exact maximum in O(m log L) time with no allocation.
 package lb
 
 import (
@@ -40,10 +49,71 @@ func windowLB(k int, S int64) int64 {
 	return L
 }
 
+// lemma1Slack and lemma10Slack are the package doc's T(L).
+func lemma1Slack(L int64) int64  { return L*L - L }
+func lemma10Slack(L int64) int64 { return 2 * L }
+
+// exceeds reports whether some window of works — any start, any length
+// 1..m, wrapping — holds S > kL + slack. It needs m times the largest
+// probed L to fit in an int64.
+func exceeds(works []int64, L, slack int64) bool {
+	m := len(works)
+	// Windows (i, j] with 0 <= i < j <= m: q(j) against the least q(i < j).
+	var p, q, minQ int64
+	for t, w := range works {
+		p += w
+		q = p - int64(t+1)*L
+		if q-minQ > slack {
+			return true
+		}
+		minQ = min(minQ, q)
+	}
+	// Wrapping windows (i, m+t] with 1 <= t <= i < m: S - kL is
+	// q(m) + q(t) - q(i), largest for the least q(i) with i >= t.
+	qm, sufMin := q, int64(math.MaxInt64)
+	for t := m - 1; t >= 1; t-- {
+		p -= works[t]
+		q = p - int64(t)*L
+		sufMin = min(sufMin, q)
+		if qm+q-sufMin > slack {
+			return true
+		}
+	}
+	return false
+}
+
+// maxWindow bisects for the smallest L in [lo, hi] that no window
+// exceeds, given that the window bound lies in that bracket.
+func maxWindow(works []int64, lo, hi int64, slack func(int64) int64) int64 {
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if exceeds(works, mid, slack(mid)) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// totals returns the total work and the largest entry of works.
+func totals(works []int64) (n, pmax int64) {
+	for _, w := range works {
+		n += w
+		pmax = max(pmax, w)
+	}
+	return n, pmax
+}
+
 // WindowBoundAt returns the Lemma 1 bound certified by the window of k
 // processors starting at index i (wrapping around the ring). works is the
 // per-processor work vector x_0..x_{m-1}.
 func WindowBoundAt(works []int64, i, k int) int64 {
+	return windowLB(k, windowSum(works, i, k))
+}
+
+// windowSum returns the work on the k processors starting at i.
+func windowSum(works []int64, i, k int) int64 {
 	m := len(works)
 	if k < 1 || k > m {
 		panic("lb: window length out of range")
@@ -52,79 +122,34 @@ func WindowBoundAt(works []int64, i, k int) int64 {
 	for h := 0; h < k; h++ {
 		S += works[(i+h)%m]
 	}
-	return windowLB(k, S)
+	return S
 }
 
 // WindowBound returns the best (largest) Lemma 1 bound over all windows of
-// all lengths 1..m, including windows that wrap around the ring. It runs in
-// O(m^2) time and O(1) extra space, which matches the paper's "m^2" note
-// and is instantaneous for the ring sizes in the study (m <= 1000).
+// all lengths 1..m, including windows that wrap around the ring, in
+// O(m log L) (see the package doc). The bracket is certified below by the
+// heaviest processor and the whole ring, and above by all work on one
+// processor.
 func WindowBound(works []int64) int64 {
-	m := len(works)
-	var best int64
-	for i := 0; i < m; i++ {
-		var S int64
-		for k := 1; k <= m; k++ {
-			S += works[(i+k-1)%m]
-			if b := windowLB(k, S); b > best {
-				best = b
-			}
-		}
-	}
-	return best
+	n, pmax := totals(works)
+	lo := max(windowLB(1, pmax), windowLB(len(works), n))
+	return maxWindow(works, lo, windowLB(1, n), lemma1Slack)
 }
 
-// WindowBoundSparse maximizes the Lemma 1 bound over windows of the
-// geometric lengths 1, 2, 4, ..., m only (every start index, wrapping),
-// using rolling window sums: O(m log m) against WindowBound's O(m^2).
-// Every value it returns is still certified by an explicit window — it
-// is a true lower bound — it just may sit below WindowBound's maximum
-// when the best window length falls between two powers of two. Built
-// for the huge rings the big-ring engine serves, where the exact scan
-// is unaffordable.
-func WindowBoundSparse(works []int64) int64 {
-	m := len(works)
-	var ks []int
-	for k := 1; k < m; k *= 2 {
-		ks = append(ks, k)
-	}
-	ks = append(ks, m)
-	var best int64
-	for _, k := range ks {
-		var S int64
-		for h := 0; h < k; h++ {
-			S += works[h]
-		}
-		for i := 0; i < m; i++ {
-			if b := windowLB(k, S); b > best {
-				best = b
-			}
-			S += works[(i+k)%m] - works[i]
-		}
-	}
-	return best
+// WindowBoundExceeds reports whether WindowBound(works) > L with a single
+// O(m) probe, for callers that only need to know whether the bound beats
+// a value they already hold.
+func WindowBoundExceeds(works []int64, L int64) bool {
+	return L < 0 || exceeds(works, L, lemma1Slack(L))
 }
 
-// BestSparse is Best with WindowBoundSparse standing in for the exact
-// window scan: the strongest cheaply-certifiable lower bound for huge
-// rings.
-func BestSparse(in instance.Instance) int64 {
-	b := WindowBoundSparse(in.Works())
-	if a := AverageBound(in); a > b {
-		b = a
-	}
-	if p := PMaxBound(in); p > b {
-		b = p
-	}
-	return b
-}
+// Deprecated: BestSparse is Best, which is now exact and cheap at any m.
+func BestSparse(in instance.Instance) int64 { return Best(in) }
 
 // AverageBound returns ceil(n/m): m processors can complete at most m units
 // of work per step.
 func AverageBound(in instance.Instance) int64 {
-	n := in.TotalWork()
-	m := int64(in.M)
-	return (n + m - 1) / m
+	return ceilDiv(in.TotalWork(), int64(in.M))
 }
 
 // PMaxBound returns the largest single job size; no schedule can beat the
@@ -135,14 +160,7 @@ func PMaxBound(in instance.Instance) int64 { return in.PMax() }
 // uncapacitated model: max of the Lemma 1 window bound, ceil(n/m), and
 // p_max.
 func Best(in instance.Instance) int64 {
-	b := WindowBound(in.Works())
-	if a := AverageBound(in); a > b {
-		b = a
-	}
-	if p := PMaxBound(in); p > b {
-		b = p
-	}
-	return b
+	return max(WindowBound(in.Works()), AverageBound(in), PMaxBound(in))
 }
 
 // CapWindowBoundAt returns the Lemma 10 bound for the window of k
@@ -150,44 +168,26 @@ func Best(in instance.Instance) int64 {
 // (k+2)L >= S. (The window can shed at most 2L jobs over its two boundary
 // links and process kL internally.)
 func CapWindowBoundAt(works []int64, i, k int) int64 {
-	m := len(works)
-	if k < 1 || k > m {
-		panic("lb: window length out of range")
-	}
-	var S int64
-	for h := 0; h < k; h++ {
-		S += works[(i+h)%m]
-	}
-	d := int64(k + 2)
-	return (S + d - 1) / d
+	return ceilDiv(windowSum(works, i, k), int64(k+2))
 }
 
-// CapWindowBound maximizes the Lemma 10 bound over all windows.
+// CapWindowBound maximizes the Lemma 10 bound over all windows with the
+// same kernel as WindowBound. The bracket is certified by the heaviest
+// processor and the whole ring below; above, no window beats ceil(n/3)
+// (its best case, k = 1) or p_max (k processors hold at most k*p_max).
 func CapWindowBound(works []int64) int64 {
-	m := len(works)
-	var best int64
-	for i := 0; i < m; i++ {
-		var S int64
-		for k := 1; k <= m; k++ {
-			S += works[(i+k-1)%m]
-			d := int64(k + 2)
-			if b := (S + d - 1) / d; b > best {
-				best = b
-			}
-		}
-	}
-	return best
+	n, pmax := totals(works)
+	lo := max(ceilDiv(pmax, 3), ceilDiv(n, int64(len(works)+2)))
+	return maxWindow(works, lo, min(ceilDiv(n, 3), pmax), lemma10Slack)
 }
+
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // Capacitated returns the strongest lower bound for the unit-capacity-link
 // model: every uncapacitated bound still applies (capacitated schedules are
 // a subset), plus the Lemma 10 window bound.
 func Capacitated(in instance.Instance) int64 {
-	b := Best(in)
-	if c := CapWindowBound(in.Works()); c > b {
-		b = c
-	}
-	return b
+	return max(Best(in), CapWindowBound(in.Works()))
 }
 
 // MaxWindowWork returns M_k = L^2 + (k-1)L, the most work k adjacent

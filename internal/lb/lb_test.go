@@ -220,51 +220,115 @@ func TestMaxWindowWorkConsistentWithWindowLB(t *testing.T) {
 	}
 }
 
-func TestWindowBoundSparseIsCertifiedAndClose(t *testing.T) {
-	// The sparse scan must never exceed the exact maximum (every value
-	// it reports is certified by a real window), must dominate the
-	// single-processor and full-ring windows it always includes, and on
-	// a power-of-two-friendly pile must match the exact scan.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 40; trial++ {
-		m := 1 + rng.Intn(130)
-		works := make([]int64, m)
-		for i := range works {
-			if rng.Intn(2) == 0 {
-				works[i] = int64(rng.Intn(500))
-			}
-		}
-		exact := WindowBound(works)
-		sparse := WindowBoundSparse(works)
-		if sparse > exact {
-			t.Fatalf("m=%d: sparse %d > exact %d (uncertified bound)", m, sparse, exact)
-		}
-		var pmax int64
-		for _, w := range works {
-			if w > pmax {
-				pmax = w
-			}
-		}
-		if single := windowLB(1, pmax); sparse < single {
-			t.Fatalf("m=%d: sparse %d below the k=1 window %d it scans", m, sparse, single)
+// windowBoundOracle and capWindowBoundOracle are the paper's O(m^2)
+// scans — every start, every length, wrapping — kept as the reference
+// the bisection kernels must match exactly.
+func windowBoundOracle(works []int64) int64 {
+	return scanWindows(works, windowLB)
+}
+
+func capWindowBoundOracle(works []int64) int64 {
+	return scanWindows(works, func(k int, S int64) int64 { return (S + int64(k+1)) / int64(k+2) })
+}
+
+func scanWindows(works []int64, bound func(k int, S int64) int64) int64 {
+	m := len(works)
+	var best int64
+	for i := 0; i < m; i++ {
+		var S int64
+		for k := 1; k <= m; k++ {
+			S += works[(i+k-1)%m]
+			best = max(best, bound(k, S))
 		}
 	}
-	// One unit of work on one processor of a 64-ring: the best window is
-	// k=1, a scanned length, so sparse == exact.
-	pile := make([]int64, 64)
-	pile[17] = 10_000
-	if s, e := WindowBoundSparse(pile), WindowBound(pile); s != e {
-		t.Fatalf("single pile: sparse %d != exact %d", s, e)
+	return best
+}
+
+// oracleVectors is the seeded corpus: dense loads, sparse piles, all-zero
+// rings, m = 1, and piles straddling the index-0 boundary so the best
+// window wraps.
+func oracleVectors() [][]int64 {
+	rng := rand.New(rand.NewSource(1994))
+	out := [][]int64{nil, {0}, {7}, {1 << 40}, make([]int64, 9)}
+	for trial := 0; trial < 600; trial++ {
+		m := 1 + rng.Intn(90)
+		works := make([]int64, m)
+		scale := []int64{2, 40, 1000, 1e6}[trial%4]
+		for i := range works {
+			switch trial % 3 {
+			case 0: // dense
+				works[i] = rng.Int63n(scale)
+			case 1: // sparse piles
+				if rng.Intn(8) == 0 {
+					works[i] = rng.Int63n(scale * 10)
+				}
+			}
+		}
+		if trial%3 == 2 { // wrapping piles
+			works[0], works[m-1] = rng.Int63n(scale*10), rng.Int63n(scale*10)
+		}
+		out = append(out, works)
+	}
+	return out
+}
+
+func TestWindowBoundsMatchOracles(t *testing.T) {
+	for _, works := range oracleVectors() {
+		if got, want := WindowBound(works), windowBoundOracle(works); got != want {
+			t.Fatalf("WindowBound(%v) = %d, oracle %d", works, got, want)
+		}
+		if got, want := CapWindowBound(works), capWindowBoundOracle(works); got != want {
+			t.Fatalf("CapWindowBound(%v) = %d, oracle %d", works, got, want)
+		}
+		wb := windowBoundOracle(works)
+		for _, L := range []int64{wb - 2, wb - 1, wb, wb + 1} {
+			if got := WindowBoundExceeds(works, L); got != (wb > L) {
+				t.Fatalf("WindowBoundExceeds(%v, %d) = %v with bound %d", works, L, got, wb)
+			}
+		}
+		if len(works) == 0 {
+			continue
+		}
+		in := instance.NewUnit(works)
+		if got, want := Best(in), max(wb, AverageBound(in), PMaxBound(in)); got != want {
+			t.Fatalf("Best(%v) = %d, want %d", works, got, want)
+		}
+		if got, want := Capacitated(in), max(Best(in), capWindowBoundOracle(works)); got != want {
+			t.Fatalf("Capacitated(%v) = %d, want %d", works, got, want)
+		}
 	}
 }
 
-func TestBestSparseDominatesComponents(t *testing.T) {
-	in := instance.NewUnit([]int64{0, 900, 0, 0, 3, 0, 0, 0})
-	b := BestSparse(in)
-	if b < AverageBound(in) || b < PMaxBound(in) || b < WindowBoundSparse(in.Works()) {
-		t.Fatalf("BestSparse %d below a component", b)
+func FuzzWindowBound(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 0, 250, 9})
+	f.Add([]byte{255})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 200 {
+			data = data[:200]
+		}
+		works := make([]int64, len(data))
+		for i, b := range data {
+			works[i] = int64(b) * int64(b)
+		}
+		if got, want := WindowBound(works), windowBoundOracle(works); got != want {
+			t.Fatalf("WindowBound(%v) = %d, oracle %d", works, got, want)
+		}
+		if got, want := CapWindowBound(works), capWindowBoundOracle(works); got != want {
+			t.Fatalf("CapWindowBound(%v) = %d, oracle %d", works, got, want)
+		}
+	})
+}
+
+func TestWindowBoundsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	works := make([]int64, 4096)
+	for i := range works {
+		works[i] = rng.Int63n(100)
 	}
-	if b > Best(in) {
-		t.Fatalf("BestSparse %d exceeds Best %d", b, Best(in))
+	for name, f := range map[string]func([]int64) int64{"WindowBound": WindowBound, "CapWindowBound": CapWindowBound} {
+		if allocs := testing.AllocsPerRun(20, func() { f(works) }); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per call", name, allocs)
+		}
 	}
 }

@@ -22,7 +22,9 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ringsched/internal/lb"
@@ -81,42 +83,34 @@ func (in Instance) MaxRelease() int64 {
 // LowerBound certifies a lower bound on the clairvoyant optimum: for
 // every release threshold r, the jobs released at or after r form a
 // static sub-instance that cannot start before r, so the optimum is at
-// least r plus that sub-instance's Lemma 1 bound. The thresholds worth
-// checking are exactly the distinct release times.
+// least r plus that sub-instance's Lemma 1 (or average) bound. The
+// thresholds worth checking are exactly the distinct release times.
+//
+// They are walked latest first, so one works vector accumulates each
+// sub-instance from the last. Most thresholds cannot beat the best bound
+// found so far; a single O(m) probe settles that, and only a threshold
+// that does beat it pays for the exact window bound.
 func LowerBound(in Instance) int64 {
-	if len(in.Batches) == 0 {
-		return 0
+	bs := in.Batches
+	byTime := func(a, b Batch) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(bs, byTime) {
+		bs = slices.Clone(bs)
+		slices.SortFunc(bs, byTime)
 	}
-	var best int64
-	seen := map[int64]bool{}
-	for _, b := range in.Batches {
-		if seen[b.Time] {
-			continue
+	works := make([]int64, in.M)
+	var best, n int64
+	for hi := len(bs); hi > 0; {
+		r := bs[hi-1].Time
+		for ; hi > 0 && bs[hi-1].Time == r; hi-- {
+			works[bs[hi-1].Proc] += bs[hi-1].Count
+			n += bs[hi-1].Count
 		}
-		seen[b.Time] = true
-		works := make([]int64, in.M)
-		for _, c := range in.Batches {
-			if c.Time >= b.Time {
-				works[c.Proc] += c.Count
-			}
-		}
-		static := lb.WindowBound(works)
-		if avg := avgBound(works, in.M); avg > static {
-			static = avg
-		}
-		if v := b.Time + static; v > best {
-			best = v
+		best = max(best, r+(n+int64(in.M)-1)/int64(in.M))
+		if lb.WindowBoundExceeds(works, best-r) {
+			best = r + lb.WindowBound(works)
 		}
 	}
 	return best
-}
-
-func avgBound(works []int64, m int) int64 {
-	var n int64
-	for _, x := range works {
-		n += x
-	}
-	return (n + int64(m) - 1) / int64(m)
 }
 
 func (in Instance) topology() ring.Topology { return ring.New(in.M) }

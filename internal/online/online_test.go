@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ringsched/internal/instance"
+	"ringsched/internal/lb"
 	"ringsched/internal/opt"
 )
 
@@ -133,6 +134,64 @@ func TestRunNeverBeatsLowerBound(t *testing.T) {
 		}
 		if b := LowerBound(in); res.Makespan < b {
 			t.Errorf("trial %d: makespan %d beats LB %d", trial, res.Makespan, b)
+		}
+	}
+}
+
+// lowerBoundRescan is the direct form of LowerBound, kept as its oracle:
+// rebuild the works vector for every distinct release time and take its
+// exact window and average bounds.
+func lowerBoundRescan(in Instance) int64 {
+	var best int64
+	for _, b := range in.Batches {
+		works := make([]int64, in.M)
+		var n int64
+		for _, c := range in.Batches {
+			if c.Time >= b.Time {
+				works[c.Proc] += c.Count
+				n += c.Count
+			}
+		}
+		best = max(best, b.Time+lb.WindowBound(works), b.Time+(n+int64(in.M)-1)/int64(in.M))
+	}
+	return best
+}
+
+func TestLowerBoundMatchesRescan(t *testing.T) {
+	for gi, in := range append(seededGrid(42), seededGrid(43)...) {
+		if got, want := LowerBound(in), lowerBoundRescan(in); got != want {
+			t.Fatalf("grid[%d] (m=%d, %d batches): LowerBound %d, rescan %d", gi, in.M, len(in.Batches), got, want)
+		}
+	}
+}
+
+// TestSessionLowerBoundMatchesRescan grows session-shaped histories — 40
+// waves of 8 batches on a 256-ring, each wave's releases overlapping the
+// next so the history is out of release order — and checks the engine's
+// bound against the rescan after every wave.
+func TestSessionLowerBoundMatchesRescan(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const m = 256
+		e, err := NewEngine(m, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := int64(0); w < 40; w++ {
+			wave := make([]Batch, 8)
+			for i := range wave {
+				wave[i] = Batch{Time: 4*w + rng.Int63n(9), Proc: rng.Intn(m), Count: rng.Int63n(1 + 50*seed)}
+			}
+			if err := e.Append(wave...); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.StepUntil(nil, 4*w+4); err != nil {
+				t.Fatal(err)
+			}
+			want := lowerBoundRescan(Instance{M: m, Batches: e.history})
+			if got := e.LowerBound(); got != want {
+				t.Fatalf("seed %d wave %d: LowerBound %d, rescan %d", seed, w, got, want)
+			}
 		}
 	}
 }

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
+
+	"ringsched/internal/lb"
 )
 
 // denseUnit builds a unit instance with every processor loaded — the
@@ -71,6 +74,31 @@ func TestScheduleEngineRouting(t *testing.T) {
 	if lat := s.latencyOut()["schedule"]; lat.EngineBigring.Count != 2 || lat.Engine.Count != 1 {
 		t.Fatalf("engine histogram counts = pool %d / bigring %d, want 1 / 2",
 			lat.Engine.Count, lat.EngineBigring.Count)
+	}
+}
+
+// TestPoolScheduleLargeRing sends a pool-engine C1 request at
+// m = 60 000, a size where a quadratic window scan alone outlasts the
+// default request deadline: it must answer 200 with the exact bound.
+func TestPoolScheduleLargeRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large-ring request skipped in -short")
+	}
+	s := newTestServer(t, Config{Workers: 1})
+	rng := rand.New(rand.NewSource(60_000))
+	works := make([]int64, 60_000)
+	for i := range works {
+		works[i] = rng.Int63n(4)
+	}
+	req := ScheduleRequest{Instance: unitInstance(t, works), Algorithm: "C1"}
+	req.Options.Engine = "pool"
+	w := post(t, s, "/v1/schedule", req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, body %.300s", w.Code, w.Body.String())
+	}
+	resp := decodeBody[ScheduleResponse](t, w)
+	if want := lb.Best(req.Instance); resp.Engine != "pool" || resp.LowerBound != want {
+		t.Fatalf("engine %q lowerBound %d, want pool and lb.Best = %d", resp.Engine, resp.LowerBound, want)
 	}
 }
 

@@ -231,6 +231,45 @@ func TestAccessLogSpanRecords(t *testing.T) {
 	}
 }
 
+// TestSessionSpanRecords checks the span tree of session appends and
+// deletes: one top-level compute span per record, with the engine span
+// under it and engine=online under that.
+func TestSessionSpanRecords(t *testing.T) {
+	var log bytes.Buffer
+	s := newTestServer(t, Config{Workers: 1, AccessLog: &log})
+	id := createSession(t, s, SessionCreateRequest{M: 6}).ID
+	appendWave(t, s, id, SessionArrivalsRequest{Arrivals: []ArrivalBatch{{T: 0, Proc: 0, Count: 5}}})
+	appendWave(t, s, id, SessionArrivalsRequest{Arrivals: []ArrivalBatch{{T: 9, Proc: 3, Count: 4}}})
+	if w := do(t, s, http.MethodDelete, "/v1/session/"+id); w.Code != http.StatusOK {
+		t.Fatalf("delete: status %d, body %s", w.Code, w.Body.String())
+	}
+
+	var computed int
+	sc := bufio.NewScanner(&log)
+	for sc.Scan() {
+		var rec metrics.SpanRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("invalid access-log line %q: %v", sc.Text(), err)
+		}
+		parents := map[string][]string{}
+		for _, sp := range rec.Spans {
+			parents[sp.Name] = append(parents[sp.Name], sp.Parent)
+		}
+		if len(parents["compute"]) == 0 {
+			continue // the create record runs no engine
+		}
+		computed++
+		for name, parent := range map[string]string{"compute": "", "engine": "compute", "engine=online": "engine"} {
+			if got := parents[name]; len(got) != 1 || got[0] != parent {
+				t.Fatalf("record %s: %q spans have parents %q, want exactly one under %q", rec.Op, name, got, parent)
+			}
+		}
+	}
+	if computed != 3 {
+		t.Fatalf("records with a compute span = %d, want 3 (two appends, one delete)", computed)
+	}
+}
+
 // TestStatuszLatencyDigest is the acceptance check that p99 latency for
 // /v1/schedule shows up on /v1/statusz, with the queue/engine split fed
 // only by the miss path.

@@ -747,12 +747,6 @@ func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp i
 			resp.Makespan, resp.Steps = res.Makespan, res.Steps
 			resp.JobHops, resp.Messages = res.JobHops, res.Messages
 			resp.Utilization = res.Utilization()
-			// The exact Lemma 1 window scan is O(m^2) — unaffordable on
-			// the rings this engine exists for — so bigring responses
-			// carry the O(m log m) geometric-window bound (still a
-			// certified lower bound, possibly slightly weaker).
-			resp.LowerBound = lb.BestSparse(in)
-			return resp, nil
 		default:
 			res, err := sim.Run(in, spec, sim.Options{MaxSteps: req.Options.MaxSteps, Ctx: ctx})
 			if err != nil {
@@ -763,6 +757,8 @@ func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp i
 			resp.JobHops, resp.Messages = res.JobHops, res.Messages
 			resp.Utilization = res.Utilization()
 		}
+		// Exact and O(m log L), so huge bigring rings get the same
+		// certificate as the pool engine's answers.
 		resp.LowerBound = lb.Best(in)
 	}
 	return resp, nil
@@ -968,16 +964,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // statuszResponse is the live counter dump behind GET /v1/statusz.
 type statuszResponse struct {
-	Schema       string                        `json:"schema"`
-	UptimeSec    float64                       `json:"uptimeSec"`
-	Workers      int                           `json:"workers"`
-	WorkersBusy  int64                         `json:"workersBusy"`
-	QueueLen     int                           `json:"queueLen"`
-	QueueDepth   int                           `json:"queueDepth"`
-	CacheEntries int                           `json:"cacheEntries"`
-	CacheCap     int                           `json:"cacheCap"`
-	HitRate      float64                       `json:"hitRate"`
-	Ready        bool                          `json:"ready"`
+	Schema       string  `json:"schema"`
+	UptimeSec    float64 `json:"uptimeSec"`
+	Workers      int     `json:"workers"`
+	WorkersBusy  int64   `json:"workersBusy"`
+	QueueLen     int     `json:"queueLen"`
+	QueueDepth   int     `json:"queueDepth"`
+	CacheEntries int     `json:"cacheEntries"`
+	CacheCap     int     `json:"cacheCap"`
+	HitRate      float64 `json:"hitRate"`
+	Ready        bool    `json:"ready"`
 	// Sessions counts live streaming sessions against their cap.
 	Sessions    int                           `json:"sessions"`
 	SessionsCap int                           `json:"sessionsCap"`

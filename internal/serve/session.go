@@ -236,14 +236,13 @@ func (s *Server) sessionCompute(ctx context.Context, ri *reqInfo, f func(ctx con
 			ch <- ctx.Err()
 			return
 		}
+		// observeEngine records the compute span these nest under.
 		execStart := time.Now()
-		endCompute := ri.span("compute", "")
 		endEngine := ri.span("engine", "compute")
 		endLabel := ri.span("engine=online", "engine")
 		err := guard(s.stats, func() error { return f(ctx) })
 		endLabel()
 		endEngine()
-		endCompute()
 		if err == nil {
 			s.stats.Compute()
 			s.stats.ComputeOnline()
