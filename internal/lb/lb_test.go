@@ -299,6 +299,52 @@ func TestWindowBoundsMatchOracles(t *testing.T) {
 	}
 }
 
+func TestWindowBoundSparseIsCertifiedAndClose(t *testing.T) {
+	// BestSparse, the bound big rings used to get from a geometric
+	// window scan, must stay certified by a real window (never above the
+	// exact scan's components), dominate the k=1 window, and match the
+	// exact scan on a single pile.
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 40; trial++ {
+		m := 1 + rng.Intn(130)
+		works := make([]int64, m)
+		for i := range works {
+			if rng.Intn(2) == 0 {
+				works[i] = int64(rng.Intn(500))
+			}
+		}
+		in := instance.NewUnit(works)
+		exact := max(windowBoundOracle(works), AverageBound(in), PMaxBound(in))
+		sparse := BestSparse(in)
+		if sparse > exact {
+			t.Fatalf("m=%d: sparse %d > exact %d (uncertified bound)", m, sparse, exact)
+		}
+		if sparse < exact {
+			t.Fatalf("m=%d: sparse %d weaker than exact %d", m, sparse, exact)
+		}
+		if single := windowLB(1, in.PMax()); sparse < single {
+			t.Fatalf("m=%d: sparse %d below the k=1 window %d", m, sparse, single)
+		}
+	}
+	pile := make([]int64, 64)
+	pile[17] = 10_000
+	single := instance.NewUnit(pile)
+	if s, e := BestSparse(single), max(windowBoundOracle(pile), AverageBound(single)); s != e {
+		t.Fatalf("single pile: sparse %d != exact %d", s, e)
+	}
+}
+
+func TestBestSparseDominatesComponents(t *testing.T) {
+	in := instance.NewUnit([]int64{0, 900, 0, 0, 3, 0, 0, 0})
+	b := BestSparse(in)
+	if b < AverageBound(in) || b < PMaxBound(in) || b < WindowBound(in.Works()) {
+		t.Fatalf("BestSparse %d below a component", b)
+	}
+	if b != Best(in) {
+		t.Fatalf("BestSparse %d differs from Best %d", b, Best(in))
+	}
+}
+
 func FuzzWindowBound(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 250, 9})
 	f.Add([]byte{255})
