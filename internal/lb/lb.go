@@ -36,10 +36,7 @@ func windowLB(k int, S int64) int64 {
 	}
 	b := float64(k - 1)
 	// Solve L^2 + bL - S = 0 and round down, then fix up any floating error.
-	L := int64(math.Floor((-b + math.Sqrt(b*b+4*float64(S))) / 2))
-	if L < 0 {
-		L = 0
-	}
+	L := max(0, int64(math.Floor((-b+math.Sqrt(b*b+4*float64(S)))/2)))
 	for L*L+int64(k-1)*L >= S && L > 0 {
 		L--
 	}
@@ -54,28 +51,44 @@ func lemma1Slack(L int64) int64  { return L*L - L }
 func lemma10Slack(L int64) int64 { return 2 * L }
 
 // exceeds reports whether some window of works — any start, any length
-// 1..m, wrapping — holds S > kL + slack. It needs m times the largest
-// probed L to fit in an int64.
-func exceeds(works []int64, L, slack int64) bool {
-	m := len(works)
-	// Windows (i, j] with 0 <= i < j <= m: q(j) against the least q(i < j).
-	var p, q, minQ int64
-	for t, w := range works {
-		p += w
-		q = p - int64(t+1)*L
-		if q-minQ > slack {
+// 1..m, wrapping — holds S > kL + slack, for L >= 0 and slack >= 0, where
+// n is the total work. Only windows of k <= K = n/L processors can (kL <
+// S <= n), and wrapping prefixes and suffixes longer than K are skipped
+// unless mL < 2n, so every sum stays within [-4n, 2n]: no L overflows.
+func exceeds(works []int64, n, L, slack int64) bool {
+	m, K := len(works), len(works)
+	if L > 0 && n/L < int64(m) {
+		K = int(n / L)
+	}
+	// Windows (i, j] with 0 <= i < j <= m: q(j) - min q(i < j), kept as
+	// the best S - kL over windows ending at j.
+	var cur int64
+	for _, w := range works {
+		cur = max(cur, 0) + w - L
+		if cur > slack {
 			return true
 		}
-		minQ = min(minQ, q)
 	}
-	// Wrapping windows (i, m+t] with 1 <= t <= i < m: S - kL is
-	// q(m) + q(t) - q(i), largest for the least q(i) with i >= t.
-	qm, sufMin := q, int64(math.MaxInt64)
+	// Wrapping windows (i, m+t] with 1 <= t <= i < m: S - kL is the
+	// suffix q(m) - q(i) plus the prefix q(t). When 2K <= m, every
+	// prefix and suffix of at most K fit side by side.
+	pre, suf := int64(0), int64(0)
+	bestPre, bestSuf := int64(math.MinInt64), int64(math.MinInt64)
+	if 2*K <= m {
+		for t := range K {
+			pre += works[t] - L
+			suf += works[m-1-t] - L
+			bestPre, bestSuf = max(bestPre, pre), max(bestSuf, suf)
+		}
+		return K > 0 && bestPre+bestSuf > slack
+	}
+	// Otherwise mL < 2n: take the best suffix with i >= t.
+	p := n
 	for t := m - 1; t >= 1; t-- {
 		p -= works[t]
-		q = p - int64(t)*L
-		sufMin = min(sufMin, q)
-		if qm+q-sufMin > slack {
+		suf += works[t] - L
+		bestSuf = max(bestSuf, suf)
+		if p-int64(t)*L+bestSuf > slack {
 			return true
 		}
 	}
@@ -84,10 +97,9 @@ func exceeds(works []int64, L, slack int64) bool {
 
 // maxWindow bisects for the smallest L in [lo, hi] that no window
 // exceeds, given that the window bound lies in that bracket.
-func maxWindow(works []int64, lo, hi int64, slack func(int64) int64) int64 {
+func maxWindow(works []int64, n, lo, hi int64, slack func(int64) int64) int64 {
 	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if exceeds(works, mid, slack(mid)) {
+		if mid := lo + (hi-lo)/2; exceeds(works, n, mid, slack(mid)) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -125,22 +137,22 @@ func windowSum(works []int64, i, k int) int64 {
 	return S
 }
 
-// WindowBound returns the best (largest) Lemma 1 bound over all windows of
-// all lengths 1..m, including windows that wrap around the ring, in
-// O(m log L) (see the package doc). The bracket is certified below by the
-// heaviest processor and the whole ring, and above by all work on one
-// processor.
+// WindowBound returns the largest Lemma 1 bound over all windows, wrapping
+// or not, in O(m log L) (see the package doc). The heaviest processor and
+// the whole ring bracket it below, all work on one processor above.
 func WindowBound(works []int64) int64 {
 	n, pmax := totals(works)
 	lo := max(windowLB(1, pmax), windowLB(len(works), n))
-	return maxWindow(works, lo, windowLB(1, n), lemma1Slack)
+	return maxWindow(works, n, lo, windowLB(1, n), lemma1Slack)
 }
 
 // WindowBoundExceeds reports whether WindowBound(works) > L with a single
 // O(m) probe, for callers that only need to know whether the bound beats
-// a value they already hold.
+// a value they already hold. Any L at or above windowLB(1, n), the top of
+// WindowBound's bracket, is answered without probing.
 func WindowBoundExceeds(works []int64, L int64) bool {
-	return L < 0 || exceeds(works, L, lemma1Slack(L))
+	n, _ := totals(works)
+	return L < 0 || L < windowLB(1, n) && exceeds(works, n, L, lemma1Slack(L))
 }
 
 // Deprecated: BestSparse is Best, which is now exact and cheap at any m.
@@ -164,9 +176,8 @@ func Best(in instance.Instance) int64 {
 }
 
 // CapWindowBoundAt returns the Lemma 10 bound for the window of k
-// processors starting at i under unit-capacity links: the smallest L with
-// (k+2)L >= S. (The window can shed at most 2L jobs over its two boundary
-// links and process kL internally.)
+// processors starting at i: the smallest L with (k+2)L >= S, as the window
+// sheds at most 2L jobs over its two unit-capacity boundary links.
 func CapWindowBoundAt(works []int64, i, k int) int64 {
 	return ceilDiv(windowSum(works, i, k), int64(k+2))
 }
@@ -178,7 +189,7 @@ func CapWindowBoundAt(works []int64, i, k int) int64 {
 func CapWindowBound(works []int64) int64 {
 	n, pmax := totals(works)
 	lo := max(ceilDiv(pmax, 3), ceilDiv(n, int64(len(works)+2)))
-	return maxWindow(works, lo, min(ceilDiv(n, 3), pmax), lemma10Slack)
+	return maxWindow(works, n, lo, min(ceilDiv(n, 3), pmax), lemma10Slack)
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

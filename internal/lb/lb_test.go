@@ -1,6 +1,7 @@
 package lb
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -299,6 +300,35 @@ func TestWindowBoundsMatchOracles(t *testing.T) {
 	}
 }
 
+// TestWindowBoundsHugeValues puts two adjacent piles of 2^48 on a ring
+// of 2^17, wrapping and not, where m times the probed L is far beyond an
+// int64. Only windows holding both piles or one of them can be best, so
+// the bounds must equal the oracle's on a 3-ring with the same piles.
+// WindowBoundExceeds must also answer probes far above the bound.
+func TestWindowBoundsHugeValues(t *testing.T) {
+	const m, a, b = 1 << 17, 1 << 48, 1<<48 + 12345
+	small := []int64{a, b, 0}
+	for _, at := range []int{0, 777, m - 1} {
+		works := make([]int64, m)
+		works[at], works[(at+1)%m] = a, b
+		if got, want := WindowBound(works), windowBoundOracle(small); got != want {
+			t.Fatalf("piles at %d: WindowBound %d, oracle %d", at, got, want)
+		}
+		if got, want := CapWindowBound(works), capWindowBoundOracle(small); got != want {
+			t.Fatalf("piles at %d: CapWindowBound %d, oracle %d", at, got, want)
+		}
+		wb := windowBoundOracle(small)
+		for _, L := range []int64{wb - 1, wb, 3_500_000_001, 1 << 40, math.MaxInt64} {
+			if got := WindowBoundExceeds(works, L); got != (wb > L) {
+				t.Fatalf("piles at %d: WindowBoundExceeds(%d) = %v with bound %d", at, L, got, wb)
+			}
+		}
+	}
+	if WindowBoundExceeds([]int64{2, 0, 0}, 3_500_000_000) {
+		t.Fatal("WindowBoundExceeds overflows on a probe far above the bound")
+	}
+}
+
 func TestWindowBoundSparseIsCertifiedAndClose(t *testing.T) {
 	// BestSparse, the bound big rings used to get from a geometric
 	// window scan, must stay certified by a real window (never above the
@@ -348,14 +378,24 @@ func TestBestSparseDominatesComponents(t *testing.T) {
 func FuzzWindowBound(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 250, 9})
 	f.Add([]byte{255})
+	f.Add(append([]byte{1, 255, 254, 3}, make([]byte, 196)...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 200 {
 			data = data[:200]
 		}
+		// With an odd first byte only the first four processors get
+		// work, up to 2^58 each: m times the probed L can leave int64,
+		// while the total work stays below 2^61.
+		big := len(data) > 0 && data[0]%2 == 1
 		works := make([]int64, len(data))
 		for i, b := range data {
-			works[i] = int64(b) * int64(b)
+			switch {
+			case !big:
+				works[i] = int64(b) * int64(b)
+			case i < 4:
+				works[i] = int64(b) << 50
+			}
 		}
 		if got, want := WindowBound(works), windowBoundOracle(works); got != want {
 			t.Fatalf("WindowBound(%v) = %d, oracle %d", works, got, want)

@@ -51,8 +51,8 @@ type Engine struct {
 	// time, earlier appends before later ones on ties.
 	pending []Batch
 	head    int
-	// history is every batch ever appended (release order), kept for
-	// the release-aware lower bound.
+	// history is every batch ever appended (append order; each append
+	// sorted by release), kept for the release-aware lower bound.
 	history []Batch
 
 	total      int64 // jobs appended so far

@@ -107,7 +107,7 @@ func LowerBound(in Instance) int64 {
 		}
 		best = max(best, r+(n+int64(in.M)-1)/int64(in.M))
 		if lb.WindowBoundExceeds(works, best-r) {
-			best = r + lb.WindowBound(works)
+			best = max(best, r+lb.WindowBound(works))
 		}
 	}
 	return best

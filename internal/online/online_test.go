@@ -2,6 +2,7 @@ package online
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ringsched/internal/instance"
@@ -158,7 +159,22 @@ func lowerBoundRescan(in Instance) int64 {
 }
 
 func TestLowerBoundMatchesRescan(t *testing.T) {
-	for gi, in := range append(seededGrid(42), seededGrid(43)...) {
+	grid := append(seededGrid(42), seededGrid(43)...)
+	// Releases billions of steps apart: best - r at an early threshold
+	// is then far above any window bound the later jobs can certify.
+	for _, in := range seededGrid(44) {
+		far := Instance{M: in.M, Batches: slices.Clone(in.Batches)}
+		for i := range far.Batches {
+			far.Batches[i].Time *= 4_000_000_007
+		}
+		grid = append(grid, far)
+	}
+	late := mustInstance(t, 8, []Batch{{Time: 0, Proc: 0, Count: 2}, {Time: 3_500_000_001, Proc: 0, Count: 1}})
+	if got := LowerBound(late); got != 3_500_000_002 {
+		t.Fatalf("LowerBound with a late unit batch = %d, want 3500000002", got)
+	}
+	grid = append(grid, late)
+	for gi, in := range grid {
 		if got, want := LowerBound(in), lowerBoundRescan(in); got != want {
 			t.Fatalf("grid[%d] (m=%d, %d batches): LowerBound %d, rescan %d", gi, in.M, len(in.Batches), got, want)
 		}
