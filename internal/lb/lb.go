@@ -51,23 +51,24 @@ func lemma1Slack(L int64) int64  { return L*L - L }
 func lemma10Slack(L int64) int64 { return 2 * L }
 
 // exceeds reports whether some window of works — any start, any length
-// 1..m, wrapping — holds S > kL + slack, for L >= 0 and slack >= 0, where
-// n is the total work. Only windows of k <= K = n/L processors can (kL <
-// S <= n), and wrapping prefixes and suffixes longer than K are skipped
+// 1..m, wrapping — holds S > kL + slack, for L >= 0 and slack >= 0. With
+// n the total work, only windows of k <= K = n/L processors can (kL < S
+// <= n), and wrapping prefixes and suffixes longer than K are skipped
 // unless mL < 2n, so every sum stays within [-4n, 2n]: no L overflows.
-func exceeds(works []int64, n, L, slack int64) bool {
-	m, K := len(works), len(works)
-	if L > 0 && n/L < int64(m) {
-		K = int(n / L)
-	}
+func exceeds(works []int64, L, slack int64) bool {
 	// Windows (i, j] with 0 <= i < j <= m: q(j) - min q(i < j), kept as
 	// the best S - kL over windows ending at j.
-	var cur int64
+	var n, cur int64
 	for _, w := range works {
+		n += w
 		cur = max(cur, 0) + w - L
 		if cur > slack {
 			return true
 		}
+	}
+	m, K := len(works), len(works)
+	if L > 0 && n/L < int64(m) {
+		K = int(n / L)
 	}
 	// Wrapping windows (i, m+t] with 1 <= t <= i < m: S - kL is the
 	// suffix q(m) - q(i) plus the prefix q(t). When 2K <= m, every
@@ -97,9 +98,9 @@ func exceeds(works []int64, n, L, slack int64) bool {
 
 // maxWindow bisects for the smallest L in [lo, hi] that no window
 // exceeds, given that the window bound lies in that bracket.
-func maxWindow(works []int64, n, lo, hi int64, slack func(int64) int64) int64 {
+func maxWindow(works []int64, lo, hi int64, slack func(int64) int64) int64 {
 	for lo < hi {
-		if mid := lo + (hi-lo)/2; exceeds(works, n, mid, slack(mid)) {
+		if mid := lo + (hi-lo)/2; exceeds(works, mid, slack(mid)) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -143,16 +144,16 @@ func windowSum(works []int64, i, k int) int64 {
 func WindowBound(works []int64) int64 {
 	n, pmax := totals(works)
 	lo := max(windowLB(1, pmax), windowLB(len(works), n))
-	return maxWindow(works, n, lo, windowLB(1, n), lemma1Slack)
+	return maxWindow(works, lo, windowLB(1, n), lemma1Slack)
 }
 
 // WindowBoundExceeds reports whether WindowBound(works) > L with a single
 // O(m) probe, for callers that only need to know whether the bound beats
-// a value they already hold. Any L at or above windowLB(1, n), the top of
-// WindowBound's bracket, is answered without probing.
+// a value they already hold. No Lemma 1 bound on int64 work reaches
+// ceil(sqrt(MaxInt64)), so larger L are answered without probing, before
+// L^2 - L could overflow.
 func WindowBoundExceeds(works []int64, L int64) bool {
-	n, _ := totals(works)
-	return L < 0 || L < windowLB(1, n) && exceeds(works, n, L, lemma1Slack(L))
+	return L < 0 || L < 3_037_000_500 && exceeds(works, L, lemma1Slack(L))
 }
 
 // Deprecated: BestSparse is Best, which is now exact and cheap at any m.
@@ -189,7 +190,7 @@ func CapWindowBoundAt(works []int64, i, k int) int64 {
 func CapWindowBound(works []int64) int64 {
 	n, pmax := totals(works)
 	lo := max(ceilDiv(pmax, 3), ceilDiv(n, int64(len(works)+2)))
-	return maxWindow(works, n, lo, min(ceilDiv(n, 3), pmax), lemma10Slack)
+	return maxWindow(works, lo, min(ceilDiv(n, 3), pmax), lemma10Slack)
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -318,7 +318,7 @@ func TestWindowBoundsHugeValues(t *testing.T) {
 			t.Fatalf("piles at %d: CapWindowBound %d, oracle %d", at, got, want)
 		}
 		wb := windowBoundOracle(small)
-		for _, L := range []int64{wb - 1, wb, 3_500_000_001, 1 << 40, math.MaxInt64} {
+		for _, L := range []int64{wb - 1, wb, 3_037_000_499, 3_037_000_500, 1 << 40, math.MaxInt64} {
 			if got := WindowBoundExceeds(works, L); got != (wb > L) {
 				t.Fatalf("piles at %d: WindowBoundExceeds(%d) = %v with bound %d", at, L, got, wb)
 			}
@@ -326,6 +326,9 @@ func TestWindowBoundsHugeValues(t *testing.T) {
 	}
 	if WindowBoundExceeds([]int64{2, 0, 0}, 3_500_000_000) {
 		t.Fatal("WindowBoundExceeds overflows on a probe far above the bound")
+	}
+	if pile := []int64{1 << 62}; !WindowBoundExceeds(pile, 1<<31-1) || WindowBoundExceeds(pile, 1<<31) {
+		t.Fatal("WindowBoundExceeds misjudges a pile of 2^62 against its bound 2^31")
 	}
 }
 
